@@ -35,9 +35,9 @@
 // With -promote the router is also the fail-over controller: when a
 // backend dies without draining (health-check death), the router locates
 // the dead node's WAL replica on a surviving follower (the backends run
-// with -replicate-to), promotes it, and re-creates every lost
-// non-terminal session — original IDs, full replayed history — on the
-// survivors.
+// with -replicate-to), promotes it, and re-creates every lost session —
+// original IDs, full replayed history — on the survivors, exactly as a
+// drain hands its sessions off.
 //
 // Cluster operations:
 //

@@ -166,7 +166,7 @@ func (r *Router) sendTracked(client *http.Client, req *http.Request, n *node, me
 		}
 	}
 	start := time.Now()
-	status, buf, hdr, err := r.send(client, req, n, method, path, query, body)
+	status, buf, hdr, err := r.send(req.Context(), client, n, method, path, query, body)
 	r.histProxy.Record(time.Since(start))
 	obs.TraceFrom(req.Context()).AddSpan("proxy "+n.name, start)
 	if err != nil {

@@ -15,9 +15,9 @@ import (
 )
 
 // This file holds the cluster-wide read endpoints — fan out to every
-// eligible node, merge — and the drain orchestration. Merges are
-// all-or-nothing: a backend failing mid-fan-out yields 502 with per-node
-// detail, never a silent partial merge that under-reports the cluster.
+// eligible node, merge. Merges are all-or-nothing: a backend failing
+// mid-fan-out yields 502 with per-node detail, never a silent partial
+// merge that under-reports the cluster.
 // The one exception is /v1/metrics: monitoring must keep seeing the
 // reachable majority while a node is down, so it merges what answered and
 // flags the rest (partial: true) instead of failing the whole scrape.
@@ -365,173 +365,4 @@ func (r *Router) handleRepoImport(w http.ResponseWriter, req *http.Request) {
 		imported[res.node.name] = imp.Imported
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"imported": imported})
-}
-
-// --- drain orchestration ---------------------------------------------------
-
-// reassignment records where one drained session went.
-type reassignment struct {
-	ID          string `json:"id"`
-	Node        string `json:"node"`
-	WarmStarted bool   `json:"warm_started"`
-}
-
-// recreateBodies renders drained sessions as ready-to-POST /v1/sessions
-// bodies (ID included), for hand-off error responses.
-func recreateBodies(sessions []service.DrainSessionJSON) []service.CreateRequest {
-	out := make([]service.CreateRequest, 0, len(sessions))
-	for _, ds := range sessions {
-		c := ds.Create
-		c.ID = ds.ID
-		out = append(out, c)
-	}
-	return out
-}
-
-// handleDrain drains one node and hands its sessions off:
-//
-//  1. the node is taken out of placement immediately,
-//  2. POST /v1/drain closes its sessions, force-harvesting them into the
-//     model repository, and returns the hand-off package,
-//  3. the exported repository is imported into every surviving node,
-//  4. each non-terminal session is re-created — same ID, original spec,
-//     warm-start requested — on its new rendezvous owner, which seeds it
-//     from the just-imported repository entries (§6.6).
-//
-// Any hand-off failure yields 502 with detail, and the drain is not rolled
-// back (the node is already out of service). Re-running the drain cannot
-// recover — a second service Drain returns an empty report — so the 502
-// carries everything needed to finish the hand-off by hand: each un-placed
-// session as a ready-to-POST /v1/sessions body (ID included; the backend
-// answers 409 if a retry already placed it), and the exported models when
-// any import failed (re-POST them to /v1/repository/import — idempotent).
-func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
-	name := req.PathValue("node")
-	n := r.nodeByName(name)
-	if n == nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("unknown node %q", name)})
-		return
-	}
-	n.mu.Lock()
-	n.draining = true
-	n.mu.Unlock()
-	r.logf("router: draining node %s", name)
-
-	status, body, _, err := r.send(r.drainClient, req, n, http.MethodPost, "/v1/drain", "", []byte("{}"))
-	if err != nil {
-		n.suspect(err, r.opts.FailAfter)
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error": "drain request failed: " + err.Error(), "node": name,
-		})
-		return
-	}
-	if status != http.StatusOK {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error": fmt.Sprintf("drain status %d: %s", status, truncate(body, 200)), "node": name,
-		})
-		return
-	}
-	var drained service.DrainResponse
-	if err := json.Unmarshal(body, &drained); err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error": "bad drain body: " + err.Error(), "node": name,
-		})
-		return
-	}
-
-	survivors := r.eligibleNodes()
-	if len(survivors) == 0 {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error":      "no healthy successor: sessions closed; finish the hand-off by POSTing each unassigned create and the models once a node is back",
-			"node":       name,
-			"closed":     drained.Closed,
-			"unassigned": recreateBodies(drained.Sessions),
-			"models":     drained.Models,
-		})
-		return
-	}
-
-	// Share the drained node's models so any successor can warm-start.
-	errs := make(map[string]string)
-	importFailed := false
-	if len(drained.Models) > 0 {
-		importBody, err := json.Marshal(service.RepoImportRequest{Models: drained.Models})
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": "encode import: " + err.Error()})
-			return
-		}
-		for _, s := range survivors {
-			status, buf, _, err := r.send(r.drainClient, req, s, http.MethodPost, "/v1/repository/import", "", importBody)
-			if err != nil {
-				errs["import "+s.name] = err.Error()
-				importFailed = true
-			} else if status != http.StatusOK {
-				errs["import "+s.name] = fmt.Sprintf("status %d: %s", status, truncate(buf, 200))
-				importFailed = true
-			}
-		}
-	}
-
-	// Re-create each non-terminal session on its new rendezvous owner.
-	reassigned := make([]reassignment, 0, len(drained.Sessions))
-	var unassigned []service.CreateRequest
-	for _, ds := range drained.Sessions {
-		create := ds.Create
-		create.ID = ds.ID
-		createBody, err := json.Marshal(create)
-		if err != nil {
-			errs["reassign "+ds.ID] = "encode: " + err.Error()
-			unassigned = append(unassigned, create)
-			continue
-		}
-		placed := false
-		for _, succ := range candidates(survivors, ds.ID) {
-			if !succ.eligible() {
-				continue
-			}
-			status, buf, _, err := r.send(r.drainClient, req, succ, http.MethodPost, "/v1/sessions", "", createBody)
-			if err != nil {
-				succ.suspect(err, r.opts.FailAfter)
-				continue
-			}
-			if status != http.StatusCreated {
-				errs["reassign "+ds.ID] = fmt.Sprintf("node %s: status %d: %s", succ.name, status, truncate(buf, 200))
-				break
-			}
-			var st service.StatusResponse
-			_ = json.Unmarshal(buf, &st)
-			reassigned = append(reassigned, reassignment{ID: ds.ID, Node: succ.name, WarmStarted: st.WarmStarted})
-			placed = true
-			break
-		}
-		if !placed {
-			unassigned = append(unassigned, create)
-			if errs["reassign "+ds.ID] == "" {
-				errs["reassign "+ds.ID] = "no reachable successor"
-			}
-		}
-	}
-
-	resp := map[string]any{
-		"node":       name,
-		"closed":     drained.Closed,
-		"models":     len(drained.Models),
-		"reassigned": reassigned,
-	}
-	if len(errs) > 0 {
-		// The hand-off package for the operator: re-POST each unassigned
-		// body to /v1/sessions (409 = a retry already placed it); on
-		// import failures, re-POST models_detail to /v1/repository/import.
-		resp["error"] = "drain hand-off incomplete"
-		resp["nodes"] = errs
-		resp["unassigned"] = unassigned
-		if importFailed {
-			resp["models_detail"] = drained.Models
-		}
-		writeJSON(w, http.StatusBadGateway, resp)
-		return
-	}
-	r.logf("router: drained %s: %d sessions closed, %d reassigned, %d models shared",
-		name, drained.Closed, len(reassigned), len(drained.Models))
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -1,14 +1,11 @@
 package router
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
-	"strings"
 	"time"
 
 	"relm/internal/replica"
@@ -19,14 +16,9 @@ import (
 // death), the router finds which surviving node holds the dead primary's
 // replica — the backends ship their WAL to rendezvous-chosen followers —
 // and promotes it: the follower fences the replica against further ingest,
-// replays it exactly like a crash recovery, and returns a hand-off package
-// of every non-terminal session with full history. The router then imports
-// the dead node's model repository into the survivors and re-creates each
-// session under its original ID on its new rendezvous owner: remote
-// sessions are replayed observation by observation (re-arming suggestions
-// where the journal says one was outstanding) so the successor's tuner is
-// bit-exact with the lost one; auto sessions restart seeded with their own
-// history as a prior and the worker pool re-drives them.
+// replays it exactly like a crash recovery, and returns the same hand-off
+// package a drain returns. handOff (handoff.go) then moves the sessions
+// onto the survivors exactly as for a drain.
 //
 // Drain is deliberately NOT a trigger: a drained node hands its sessions
 // off itself. Promotion is only for nodes that never got the chance.
@@ -92,8 +84,11 @@ func (r *Router) promote(n *node) bool {
 	}
 	r.logf("router: promoting replica of %s on %s (%d bytes)", n.name, holder.name, holderBytes)
 
+	// The health loop, not a handler, runs promotion: no inbound request
+	// bounds it or carries a trace.
+	ctx := context.Background()
 	body, _ := json.Marshal(map[string]string{"primary": n.name})
-	status, buf, err := r.call(r.drainClient, holder, http.MethodPost, "/v1/replica/promote", "", body)
+	status, buf, _, err := r.send(ctx, r.drainClient, holder, http.MethodPost, "/v1/replica/promote", "", body)
 	if err != nil {
 		holder.suspect(err, r.opts.FailAfter)
 		r.logf("router: promote %s on %s: %v", n.name, holder.name, err)
@@ -111,68 +106,7 @@ func (r *Router) promote(n *node) bool {
 
 	// Point of no return: the replica is fenced and replayed.
 	r.promotions.Add(1)
-	errs := make(map[string]string)
-
-	// Share the dead node's models so any successor can warm-start, same
-	// as a drain would have.
-	if len(handoff.Models) > 0 {
-		importBody, err := json.Marshal(service.RepoImportRequest{Models: handoff.Models})
-		if err == nil {
-			for _, s := range survivors {
-				st, b, err := r.call(r.drainClient, s, http.MethodPost, "/v1/repository/import", "", importBody)
-				if err != nil {
-					errs["import "+s.name] = err.Error()
-				} else if st != http.StatusOK {
-					errs["import "+s.name] = fmt.Sprintf("status %d: %s", st, truncate(b, 200))
-				}
-			}
-		} else {
-			errs["import"] = "encode: " + err.Error()
-		}
-	}
-
-	// Re-create every recovered session under its original ID on its new
-	// rendezvous owner, then replay its history into it.
-	reassigned := make([]reassignment, 0, len(handoff.Sessions))
-	for _, hs := range handoff.Sessions {
-		create := hs.Create
-		create.ID = hs.ID
-		createBody, err := json.Marshal(create)
-		if err != nil {
-			errs["recreate "+hs.ID] = "encode: " + err.Error()
-			continue
-		}
-		placed := false
-		for _, succ := range candidates(survivors, hs.ID) {
-			st, b, err := r.call(r.drainClient, succ, http.MethodPost, "/v1/sessions", "", createBody)
-			if err != nil {
-				succ.suspect(err, r.opts.FailAfter)
-				continue
-			}
-			switch st {
-			case http.StatusCreated:
-				if rerr := r.replaySession(succ, hs); rerr != nil {
-					errs["replay "+hs.ID] = rerr.Error()
-				}
-				reassigned = append(reassigned, reassignment{ID: hs.ID, Node: succ.name, WarmStarted: len(create.PriorPoints) > 0})
-				placed = true
-			case http.StatusConflict:
-				// A concurrent or earlier attempt already placed it.
-				reassigned = append(reassigned, reassignment{ID: hs.ID, Node: succ.name})
-				placed = true
-			default:
-				errs["recreate "+hs.ID] = fmt.Sprintf("node %s: status %d: %s", succ.name, st, truncate(b, 200))
-			}
-			break
-		}
-		if !placed && errs["recreate "+hs.ID] == "" {
-			errs["recreate "+hs.ID] = "no reachable successor"
-		}
-	}
-
-	if len(errs) == 0 {
-		errs = nil
-	}
+	reassigned, _, errs := r.handOff(ctx, survivors, handoff)
 	report := &PromotionReport{
 		Node:       n.name,
 		Holder:     holder.name,
@@ -213,7 +147,7 @@ func (r *Router) findHolder(dead string, survivors []*node) (*node, int64) {
 	var cands []cand
 	q := url.Values{"primary": {dead}}.Encode()
 	for _, s := range survivors {
-		status, buf, err := r.call(r.client, s, http.MethodGet, "/v1/replica/status", q, nil)
+		status, buf, _, err := r.send(context.Background(), r.client, s, http.MethodGet, "/v1/replica/status", q, nil)
 		if err != nil || status != http.StatusOK {
 			continue
 		}
@@ -237,71 +171,4 @@ func (r *Router) findHolder(dead string, survivors []*node) (*node, int64) {
 		return cands[i].n.name < cands[j].n.name
 	})
 	return cands[0].n, cands[0].bytes
-}
-
-// replaySession drives a recreated remote session through its recorded
-// history on its new owner: re-arm the suggestion where one was
-// outstanding, then report the observation — the exact interleaving the
-// journal recorded, which is what makes the successor's tuner bit-exact.
-// Auto sessions are not replayed (their history rode in as the create
-// prior and a worker re-drives them).
-func (r *Router) replaySession(succ *node, hs service.HandoffSessionJSON) error {
-	if hs.Create.Mode == "auto" || len(hs.History) == 0 {
-		return nil
-	}
-	base := "/v1/sessions/" + hs.ID
-	for i, h := range hs.History {
-		if h.Suggested {
-			if st, b, err := r.call(r.drainClient, succ, http.MethodPost, base+"/suggest", "", []byte("{}")); err != nil {
-				return fmt.Errorf("suggest %d: %w", i, err)
-			} else if st != http.StatusOK {
-				return fmt.Errorf("suggest %d: status %d: %s", i, st, truncate(b, 200))
-			}
-		}
-		obs, err := json.Marshal(service.ObserveRequest{
-			Config:     h.Config,
-			RuntimeSec: h.RuntimeSec,
-			Aborted:    h.Aborted,
-			GCOverhead: h.GCOverhead,
-			Stats:      h.Stats,
-		})
-		if err != nil {
-			return fmt.Errorf("observe %d: encode: %w", i, err)
-		}
-		if st, b, err := r.call(r.drainClient, succ, http.MethodPost, base+"/observe", "", obs); err != nil {
-			return fmt.Errorf("observe %d: %w", i, err)
-		} else if st != http.StatusOK {
-			return fmt.Errorf("observe %d: status %d: %s", i, st, truncate(b, 200))
-		}
-	}
-	return nil
-}
-
-// call is send without an inbound request to proxy — the promotion path
-// runs from the health loop, not a handler.
-func (r *Router) call(client *http.Client, n *node, method, path, query string, body []byte) (int, []byte, error) {
-	u := *n.base
-	u.Path = strings.TrimSuffix(u.Path, "/") + path
-	u.RawQuery = query
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, u.String(), rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, buf, nil
 }

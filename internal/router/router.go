@@ -13,17 +13,18 @@
 // create (the backends honour them via Spec.ID) so the routing key exists
 // before the session does.
 //
-// Node drain/hand-off (POST /v1/cluster/drain/{node}) leans on the
-// service's durability: the draining node force-harvests its sessions into
-// the model repository and closes them (POST /v1/drain), the router imports
-// the exported repository into the surviving nodes, and re-creates each
-// non-terminal session — same ID, original spec — on its new rendezvous
-// owner with a warm-start request, so the successor seeds the rebuilt
-// session from the drained node's observations (§6.6 model re-use).
+// Sessions leave a node one way, whether it is drained (POST
+// /v1/cluster/drain/{node}) or dies and its replica is promoted: the node
+// — or the replica holder — returns a hand-off package of each session's
+// create spec and full history, and the router re-creates every session
+// under its original ID on its new rendezvous owner, replays its history
+// there so the tuner is bit-exact, then imports the node's model
+// repository into the survivors (see handoff.go).
 package router
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/json"
 	"errors"
@@ -62,8 +63,9 @@ type Options struct {
 	// FailAfter is how many consecutive health-check failures mark a node
 	// unhealthy (default 2). One successful check marks it healthy again.
 	FailAfter int
-	// Timeout bounds each proxied backend request (default 15s). Drain
-	// orchestration uses 4x this, since it closes every session.
+	// Timeout bounds each proxied backend request (default 15s). Session
+	// hand-off (drain, promotion) uses 4x this per request, since a drain
+	// or promote call returns every session the node held.
 	Timeout time.Duration
 	// Transport overrides the backend HTTP transport (tests, benchmarks).
 	Transport http.RoundTripper
@@ -218,8 +220,8 @@ type NodeStatus struct {
 type Router struct {
 	opts  Options
 	nodes []*node
-	// client serves lifecycle proxying and fan-outs; drainClient allows
-	// drains the time to close and hand off every session.
+	// client serves lifecycle proxying and fan-outs; drainClient gives a
+	// session hand-off (drain, promotion) the time to move every session.
 	client      *http.Client
 	drainClient *http.Client
 	mux         http.Handler
@@ -497,8 +499,9 @@ func (r *Router) checkNode(n *node) error {
 
 // --- proxying --------------------------------------------------------------
 
-// send issues one backend request and returns status + body.
-func (r *Router) send(client *http.Client, req *http.Request, n *node, method, path, query string, body []byte) (int, []byte, http.Header, error) {
+// send issues one backend request and returns status + body. ctx bounds
+// the request and carries the trace whose ID is propagated to the backend.
+func (r *Router) send(ctx context.Context, client *http.Client, n *node, method, path, query string, body []byte) (int, []byte, http.Header, error) {
 	u := *n.base
 	u.Path = strings.TrimSuffix(u.Path, "/") + path
 	u.RawQuery = query
@@ -506,20 +509,16 @@ func (r *Router) send(client *http.Client, req *http.Request, n *node, method, p
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	out, err := http.NewRequestWithContext(req.Context(), method, u.String(), rd)
+	out, err := http.NewRequestWithContext(ctx, method, u.String(), rd)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	if body != nil {
 		out.Header.Set("Content-Type", "application/json")
 	}
-	// Propagate the trace ID so the backend's spans join this request's
-	// trace. The context trace is authoritative (the middleware minted or
-	// adopted it); the raw header is the fallback for internal callers that
-	// bypass the middleware.
-	if id := obs.TraceFrom(req.Context()).ID(); id != "" {
-		out.Header.Set(obs.TraceHeader, id)
-	} else if id := req.Header.Get(obs.TraceHeader); id != "" {
+	// Propagate the trace ID (minted or adopted by the middleware) so the
+	// backend's spans join this request's trace.
+	if id := obs.TraceFrom(ctx).ID(); id != "" {
 		out.Header.Set(obs.TraceHeader, id)
 	}
 	resp, err := client.Do(out)

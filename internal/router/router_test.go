@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -354,87 +355,142 @@ func TestMergePartialFailure(t *testing.T) {
 	}
 }
 
-// TestDrainHandoffWarmStart is the in-process acceptance scenario: a
-// session created through the router survives the drain of its home
-// backend, and its post-drain incarnation on the successor is warm-started
-// from the repository entries the drain exported.
-func TestDrainHandoffWarmStart(t *testing.T) {
+// TestDrainHandoffBitExact is the in-process acceptance scenario: every
+// session the drained node held — mid-flight on each backend, finished,
+// and warm-started — continues on the successor through the router with
+// the history it had and the next suggestion it would have given. A
+// planned drain is as strong as a fail-over.
+func TestDrainHandoffBitExact(t *testing.T) {
 	tc := newTestCluster(t, "a", "b")
+	const home, successor = "a", "b"
 
-	var created service.StatusResponse
-	code, _ := tc.do(t, http.MethodPost, "/v1/sessions", map[string]any{
-		"backend": "gbo", "workload": "K-means", "seed": 3, "max_iterations": 40,
-		"warm_start": true, "stats": testStats(), "default_runtime_sec": 240.0,
-	}, &created)
-	if code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
-	home := created.Node
-	successor := "b"
-	if home == "b" {
-		successor = "a"
-	}
-
-	// A few real observations so the drained model has something to carry.
-	for i := 0; i < 4; i++ {
-		var sug service.SuggestResponse
-		if code, _ := tc.do(t, http.MethodPost, "/v1/sessions/"+created.ID+"/suggest", nil, &sug); code != http.StatusOK {
-			t.Fatalf("suggest: status %d", code)
+	// Session IDs the router would place on home.
+	next := 0
+	homeID := func() string {
+		for ; ; next++ {
+			id := fmt.Sprintf("drain-%d", next)
+			if candidates(tc.router.eligibleNodes(), id)[0].name == home {
+				next++
+				return id
+			}
 		}
-		if code, _ := tc.do(t, http.MethodPost, "/v1/sessions/"+created.ID+"/observe",
-			map[string]any{"config": sug.Config, "runtime_sec": 200.0 - float64(i)*5}, nil); code != http.StatusOK {
-			t.Fatalf("observe: status %d", code)
+	}
+	create := func(body map[string]any) service.StatusResponse {
+		t.Helper()
+		body["id"] = homeID()
+		var st service.StatusResponse
+		if code, _ := tc.do(t, http.MethodPost, "/v1/sessions", body, &st); code != http.StatusCreated || st.Node != home {
+			t.Fatalf("create %v: status %d on %q", body, code, st.Node)
+		}
+		return st
+	}
+	step := func(id string, rounds int) {
+		t.Helper()
+		for i := 0; i < rounds; i++ {
+			var sug service.SuggestResponse
+			if code, _ := tc.do(t, http.MethodPost, "/v1/sessions/"+id+"/suggest", nil, &sug); code != http.StatusOK {
+				t.Fatalf("suggest %s: status %d", id, code)
+			}
+			if sug.Done {
+				return
+			}
+			if code, _ := tc.do(t, http.MethodPost, "/v1/sessions/"+id+"/observe", map[string]any{
+				"config": sug.Config, "runtime_sec": 300.0 - 7*float64(i), "stats": testStats(),
+			}, nil); code != http.StatusOK {
+				t.Fatalf("observe %s: status %d", id, code)
+			}
+		}
+	}
+	warmReq := func(backend string, iters int) map[string]any {
+		return map[string]any{"backend": backend, "workload": "K-means", "seed": 3, "max_iterations": iters,
+			"warm_start": true, "stats": testStats(), "default_runtime_sec": 240.0}
+	}
+
+	// A finished session harvests the model the warm session matches.
+	done := create(warmReq("bo", 2))
+	step(done.ID, 40)
+	warm := create(warmReq("gbo", 40))
+	if !warm.WarmStarted {
+		t.Fatalf("gbo session did not warm-start from the finished one: %+v", warm)
+	}
+	ids := []string{done.ID, warm.ID}
+	step(warm.ID, 3)
+	for _, body := range []map[string]any{
+		{"backend": "bo", "workload": "SortByKey", "seed": 4, "max_iterations": 20},
+		{"backend": "gbo", "workload": "PageRank", "seed": 5, "max_iterations": 20},
+		{"backend": "ddpg", "workload": "SVM", "seed": 6, "max_steps": 20},
+		{"backend": "relm", "workload": "WordCount", "seed": 7},
+	} {
+		st := create(body)
+		step(st.ID, 3)
+		ids = append(ids, st.ID)
+	}
+
+	// What each session has and would do next, read through the router.
+	type snapshot struct {
+		hist []service.HistoryJSON
+		next service.SuggestResponse
+	}
+	read := func(id string) snapshot {
+		t.Helper()
+		var s snapshot
+		if code, _ := tc.do(t, http.MethodGet, "/v1/sessions/"+id+"/history", nil, &s.hist); code != http.StatusOK {
+			t.Fatalf("history %s: status %d", id, code)
+		}
+		if code, _ := tc.do(t, http.MethodPost, "/v1/sessions/"+id+"/suggest", nil, &s.next); code != http.StatusOK {
+			t.Fatalf("suggest %s: status %d", id, code)
+		}
+		return s
+	}
+	before := make(map[string]snapshot)
+	for _, id := range ids {
+		before[id] = read(id)
+	}
+	if !before[done.ID].next.Done {
+		t.Fatalf("session %s never finished", done.ID)
+	}
+	finished := 0 // each finished session harvested one model on home
+	for _, s := range before {
+		if s.next.Done {
+			finished++
 		}
 	}
 
 	var drained struct {
-		Node       string `json:"node"`
-		Closed     int    `json:"closed"`
-		Models     int    `json:"models"`
+		Sessions   int `json:"sessions"`
+		Models     int `json:"models"`
 		Reassigned []struct {
-			ID          string `json:"id"`
-			Node        string `json:"node"`
-			WarmStarted bool   `json:"warm_started"`
+			ID   string `json:"id"`
+			Node string `json:"node"`
 		} `json:"reassigned"`
 	}
 	if code, _ := tc.do(t, http.MethodPost, "/v1/cluster/drain/"+home, nil, &drained); code != http.StatusOK {
 		t.Fatalf("drain: status %d (%+v)", code, drained)
 	}
-	if drained.Closed < 1 || drained.Models < 1 {
-		t.Fatalf("drain closed %d sessions, exported %d models", drained.Closed, drained.Models)
+	if drained.Sessions != len(ids) || len(drained.Reassigned) != len(ids) || drained.Models != finished {
+		t.Fatalf("drain handed off %d sessions, reassigned %d, shared %d models; want %d, %d, %d",
+			drained.Sessions, len(drained.Reassigned), drained.Models, len(ids), len(ids), finished)
 	}
-	found := false
 	for _, ra := range drained.Reassigned {
-		if ra.ID == created.ID {
-			found = true
-			if ra.Node != successor {
-				t.Fatalf("session reassigned to %q, want successor %q", ra.Node, successor)
-			}
-			if !ra.WarmStarted {
-				t.Fatalf("reassigned session was not warm-started")
-			}
+		if ra.Node != successor {
+			t.Fatalf("session %s reassigned to %q, want %q", ra.ID, ra.Node, successor)
 		}
 	}
-	if !found {
-		t.Fatalf("session %s missing from reassignments: %+v", created.ID, drained.Reassigned)
-	}
 
-	// The same ID keeps working through the router, now on the successor,
-	// and its suggestions come from a repository-warm-started model.
-	var st service.StatusResponse
-	code, hdr := tc.do(t, http.MethodGet, "/v1/sessions/"+created.ID, nil, &st)
-	if code != http.StatusOK {
-		t.Fatalf("get after drain: status %d", code)
+	for _, id := range ids {
+		var st service.StatusResponse
+		code, hdr := tc.do(t, http.MethodGet, "/v1/sessions/"+id, nil, &st)
+		if code != http.StatusOK || hdr.Get("X-Relm-Node") != successor {
+			t.Fatalf("session %s after drain: status %d served by %q", id, code, hdr.Get("X-Relm-Node"))
+		}
+		if got := read(id); !reflect.DeepEqual(got, before[id]) {
+			t.Fatalf("session %s changed across the drain:\nbefore %+v\nafter  %+v", id, before[id], got)
+		}
 	}
-	if got := hdr.Get("X-Relm-Node"); got != successor {
-		t.Fatalf("post-drain request served by %q, want %q", got, successor)
-	}
-	if !st.WarmStarted || st.State != service.StateActive {
-		t.Fatalf("post-drain session not warm-started/active: %+v", st)
-	}
-	var sug service.SuggestResponse
-	if code, _ := tc.do(t, http.MethodPost, "/v1/sessions/"+created.ID+"/suggest", nil, &sug); code != http.StatusOK {
-		t.Fatalf("post-drain suggest: status %d", code)
+	// The replayed finished sessions harvested on the successor, so the
+	// import skipped the drained node's copies: one entry per session.
+	if n := len(tc.managers[successor].Repository().Entries); n != finished {
+		t.Fatalf("successor repository holds %d entries, want %d", n, finished)
 	}
 
 	// The drained node takes no new sessions.
@@ -442,6 +498,7 @@ func TestDrainHandoffWarmStart(t *testing.T) {
 	if draining.eligible() {
 		t.Fatalf("drained node %s still eligible for placement", home)
 	}
+	var st service.StatusResponse
 	if code, _ := tc.do(t, http.MethodPost, "/v1/sessions",
 		map[string]any{"backend": "bo", "workload": "PageRank"}, &st); code != http.StatusCreated {
 		t.Fatalf("create after drain: status %d", code)

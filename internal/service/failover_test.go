@@ -102,6 +102,14 @@ func driveSessions(t *testing.T, dir string) (ids []string, histories map[string
 func recreateFromHandoff(t *testing.T, rep HandoffReport) *Manager {
 	t.Helper()
 	m := NewManager(Options{Workers: 1, NodeID: "b"})
+	replayHandoff(t, m, rep)
+	return m
+}
+
+// replayHandoff re-creates and replays every session of a hand-off
+// package into successor m.
+func replayHandoff(t *testing.T, m *Manager, rep HandoffReport) {
+	t.Helper()
 	for _, hs := range rep.Sessions {
 		spec := hs.Spec
 		spec.ID = hs.ID
@@ -125,7 +133,6 @@ func recreateFromHandoff(t *testing.T, rep HandoffReport) *Manager {
 			}
 		}
 	}
-	return m
 }
 
 // TestPromotionReplayBitMatch is the heart of fail-over correctness: a

@@ -8,18 +8,21 @@ import (
 	"relm/internal/store"
 )
 
-// This file is the promotion half of fail-over: turning a dead node's
-// replicated WAL into a hand-off package a router can re-create the lost
-// sessions from. It reuses the restore machinery verbatim — a replica
-// directory is a valid store directory, so replaying it is exactly the
-// crash recovery the node itself would have run — but into a detached
-// Manager shell that never starts goroutines or journals anything.
+// This file builds the session hand-off package a router re-creates
+// sessions from on their new owners. Promotion builds it from a dead
+// node's replicated WAL: it reuses the restore machinery verbatim — a
+// replica directory is a valid store directory, so replaying it is exactly
+// the crash recovery the node itself would have run — but into a detached
+// Manager shell that never starts goroutines or journals anything. Drain
+// builds the same package from memory (Manager.Drain); both select and
+// rewrite sessions through handoffLocked.
 
-// HandoffSession is one non-terminal session recovered from a replica:
-// everything a successor needs to continue it under its original ID.
+// HandoffSession is one session leaving its node — recovered from a
+// replica or drained from memory: everything a successor needs to continue
+// it under its original ID.
 type HandoffSession struct {
 	ID    string
-	State string // state at the primary's death
+	State string // state when the session left its node
 	Evals int
 	// Spec is the re-create spec: ID cleared, Prior seeded with the warm
 	// start the lost instance held (or, for auto sessions, its own
@@ -32,10 +35,10 @@ type HandoffSession struct {
 	History []HistoryEntry
 }
 
-// HandoffReport is the product of promoting a replica: the dead node's
-// non-terminal sessions plus its model repository.
+// HandoffReport is the product of promoting a replica or draining a node:
+// the node's handed-off sessions plus its model repository.
 type HandoffReport struct {
-	Node     string // the dead primary the replica belonged to
+	Node     string // the node the sessions leave
 	Sessions []HandoffSession
 	Repo     []bo.RepoEntry
 }
@@ -61,8 +64,8 @@ func ExtractHandoff(dir, node string) (HandoffReport, error) {
 }
 
 // BuildHandoff replays a snapshot + log into a detached Manager shell and
-// collects the hand-off package: every non-terminal session with its full
-// history and a prior to seed its successor, plus the repository.
+// collects the hand-off package: every session handoffLocked selects, plus
+// the repository.
 func BuildHandoff(snap *store.Snapshot, events []store.Event, node string) (HandoffReport, error) {
 	m := newManager(Options{})
 	if _, err := m.restore(snap, events); err != nil {
@@ -70,44 +73,70 @@ func BuildHandoff(snap *store.Snapshot, events []store.Event, node string) (Hand
 	}
 	rep := HandoffReport{Node: node}
 	for _, sh := range m.shards {
-		for id, s := range sh.sessions {
-			if s.state != StateActive && s.state != StateQueued && s.state != StateRunning {
-				continue
+		for _, s := range sh.sessions {
+			if hs, ok := handoffLocked(s); ok {
+				rep.Sessions = append(rep.Sessions, hs)
 			}
-			hs := HandoffSession{
-				ID:      id,
-				State:   s.state,
-				Evals:   len(s.history),
-				Spec:    s.spec,
-				History: append([]HistoryEntry(nil), s.history...),
-			}
-			hs.Spec.ID = ""
-			switch {
-			case s.warm != nil:
-				// Seed the successor with the exact warm start the lost
-				// instance held; WarmStart is cleared so the successor does
-				// not re-match a repository that may have changed since.
-				hs.Spec.Prior = s.warm.Points
-				hs.Spec.PriorSource = s.warm.Source
-				hs.Spec.PriorCluster = s.warm.Cluster
-				hs.Spec.PriorDistance = s.warm.Distance
-				hs.Spec.WarmStart = false
-			case s.spec.Mode == ModeAuto && len(s.history) > 0:
-				// Auto sessions are not replayed observation by observation
-				// (a worker re-drives them on the simulator); their own
-				// history becomes the prior, so the re-driven session starts
-				// from what the lost one had learned.
-				hs.Spec.Prior = historyPrior(s)
-				hs.Spec.PriorSource = s.spec.Workload
-				hs.Spec.PriorCluster = s.spec.Cluster
-				hs.Spec.WarmStart = false
-			}
-			rep.Sessions = append(rep.Sessions, hs)
 		}
 	}
-	sort.Slice(rep.Sessions, func(i, j int) bool { return rep.Sessions[i].ID < rep.Sessions[j].ID })
+	sortHandoff(rep.Sessions)
 	rep.Repo = append([]bo.RepoEntry(nil), m.repo.Entries...)
 	return rep, nil
+}
+
+// handoffLocked renders one session as a hand-off entry — the selection
+// and spec rewrite shared by promotion (BuildHandoff) and drain
+// (Manager.Drain). Non-terminal sessions are handed off, and so are
+// finished remote ones: replaying their history reproduces the done state
+// and the last suggestion. Finished auto sessions and failed sessions stay
+// behind. Callers hold s.mu or own a detached shell.
+func handoffLocked(s *Session) (HandoffSession, bool) {
+	switch s.state {
+	case StateActive, StateQueued, StateRunning:
+	case StateDone:
+		if s.spec.Mode == ModeAuto {
+			return HandoffSession{}, false
+		}
+	default:
+		return HandoffSession{}, false
+	}
+	hs := HandoffSession{
+		ID:      s.id,
+		State:   s.state,
+		Evals:   len(s.history),
+		Spec:    s.spec,
+		History: append([]HistoryEntry(nil), s.history...),
+	}
+	hs.Spec.ID = ""
+	// The successor must not re-match a repository that may have filled
+	// since: a session that matched nothing at create would otherwise be
+	// seeded on its successor and diverge. Only an auto session that has
+	// not run yet starts over, so it may match afresh.
+	if s.spec.Mode != ModeAuto || len(s.history) > 0 {
+		hs.Spec.WarmStart = false
+	}
+	switch {
+	case s.warm != nil:
+		// Seed the successor with the exact warm start the lost instance
+		// held.
+		hs.Spec.Prior = s.warm.Points
+		hs.Spec.PriorSource = s.warm.Source
+		hs.Spec.PriorCluster = s.warm.Cluster
+		hs.Spec.PriorDistance = s.warm.Distance
+	case s.spec.Mode == ModeAuto && len(s.history) > 0:
+		// Auto sessions are not replayed observation by observation (a
+		// worker re-drives them on the simulator); their own history
+		// becomes the prior, so the re-driven session starts from what the
+		// lost one had learned.
+		hs.Spec.Prior = historyPrior(s)
+		hs.Spec.PriorSource = s.spec.Workload
+		hs.Spec.PriorCluster = s.spec.Cluster
+	}
+	return hs, true
+}
+
+func sortHandoff(sessions []HandoffSession) {
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
 }
 
 // historyPrior renders a session's own history as prior points.

@@ -246,25 +246,6 @@ func stageFields(stages map[string]obs.Snapshot) (map[string]obs.Summary, map[st
 	return sums, hists
 }
 
-// DrainSessionJSON is one drained session on the wire: the state it held,
-// and the body a router can POST to a successor node (with the id re-added)
-// to re-create it, warm-started from the exported repository when the
-// session's fingerprint is known.
-type DrainSessionJSON struct {
-	ID     string        `json:"id"`
-	State  string        `json:"state"`
-	Evals  int           `json:"evals"`
-	Create CreateRequest `json:"create"`
-}
-
-// DrainResponse is the body of POST /v1/drain: the hand-off package.
-type DrainResponse struct {
-	Node     string             `json:"node,omitempty"`
-	Closed   int                `json:"closed"`
-	Sessions []DrainSessionJSON `json:"sessions"`
-	Models   []bo.RepoEntry     `json:"models"`
-}
-
 // RepoExportResponse is the body of GET /v1/repository/export — the full
 // repository entries, prior points included, for another node to import.
 // RepoImportRequest is the same shape POSTed to /v1/repository/import.
@@ -311,7 +292,7 @@ func specToCreateRequest(spec Spec) CreateRequest {
 	}
 }
 
-// HandoffSessionJSON is one recovered session on the wire: the create
+// HandoffSessionJSON is one handed-off session on the wire: the create
 // body a router POSTs to the session's new owner (ID re-added) plus the
 // history to replay into it.
 type HandoffSessionJSON struct {
@@ -322,8 +303,8 @@ type HandoffSessionJSON struct {
 	History []HistoryJSON `json:"history,omitempty"`
 }
 
-// HandoffResponse is the body of POST /v1/replica/promote: the dead
-// node's recovered sessions and model repository.
+// HandoffResponse is the body of POST /v1/replica/promote and POST
+// /v1/drain: the node's handed-off sessions and model repository.
 type HandoffResponse struct {
 	Node     string               `json:"node"`
 	Sessions []HandoffSessionJSON `json:"sessions"`
@@ -648,22 +629,7 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
-		rep := m.Drain()
-		resp := DrainResponse{
-			Node:     rep.Node,
-			Closed:   rep.Closed,
-			Sessions: make([]DrainSessionJSON, 0, len(rep.Sessions)),
-			Models:   rep.Repo,
-		}
-		for _, ds := range rep.Sessions {
-			resp.Sessions = append(resp.Sessions, DrainSessionJSON{
-				ID:     ds.ID,
-				State:  ds.State,
-				Evals:  ds.Evals,
-				Create: specToCreateRequest(ds.Spec),
-			})
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, toHandoffResponse(m.Drain()))
 	})
 
 	mux.HandleFunc("GET /v1/repository/export", func(w http.ResponseWriter, r *http.Request) {

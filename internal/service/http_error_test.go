@@ -178,19 +178,25 @@ func TestHTTPNodeIdentityAndDrain(t *testing.T) {
 		t.Fatalf("observe: status %d", code)
 	}
 
-	var drain DrainResponse
+	// The drain returns the same hand-off package promotion builds: the
+	// full history to replay, and a create body that does not re-match the
+	// repository on the successor.
+	var drain HandoffResponse
 	if code := doJSON(t, http.MethodPost, srv.URL+"/v1/drain", nil, &drain); code != http.StatusOK {
 		t.Fatalf("drain: status %d", code)
 	}
-	if drain.Node != "node-a" || drain.Closed != 1 || len(drain.Sessions) != 1 || len(drain.Models) != 1 {
+	if drain.Node != "node-a" || len(drain.Sessions) != 1 {
 		t.Fatalf("drain report: %+v", drain)
 	}
 	ds := drain.Sessions[0]
-	if ds.ID != created.ID || ds.State != StateActive || ds.Evals != 1 {
+	if ds.ID != created.ID || ds.State != StateActive || ds.Evals != 1 || len(ds.History) != 1 {
 		t.Fatalf("drained session: %+v", ds)
 	}
-	if !ds.Create.WarmStart || ds.Create.Stats == nil || ds.Create.ID != "" {
-		t.Fatalf("drained re-create spec not warm-start-ready: %+v", ds.Create)
+	if ds.Create.WarmStart || ds.Create.Stats == nil || ds.Create.ID != "" {
+		t.Fatalf("drained re-create spec re-matches the repository or lost its fingerprint: %+v", ds.Create)
+	}
+	if h := ds.History[0]; h.Config != sug.Config || h.RuntimeSec != 200 || !h.Suggested {
+		t.Fatalf("drained history entry: %+v, want the observed suggestion", h)
 	}
 
 	// Draining is terminal and visible.
@@ -202,9 +208,9 @@ func TestHTTPNodeIdentityAndDrain(t *testing.T) {
 	if health["draining"] != true {
 		t.Fatalf("healthz after drain: %+v", health)
 	}
-	var drain2 DrainResponse
+	var drain2 HandoffResponse
 	doJSON(t, http.MethodPost, srv.URL+"/v1/drain", nil, &drain2)
-	if drain2.Closed != 0 || len(drain2.Sessions) != 0 {
+	if len(drain2.Sessions) != 0 {
 		t.Fatalf("second drain not empty: %+v", drain2)
 	}
 }

@@ -1145,35 +1145,16 @@ func (m *Manager) Sweep() int {
 	return len(evict)
 }
 
-// DrainedSession is one session a Drain closed, carrying everything a
-// router needs to re-create it on a successor node: the original spec,
-// augmented into a warm-start request when the session's workload
-// fingerprint is known (the §6.6 hand-off — the successor matches the
-// fingerprint against the repository entries the drain exported and seeds
-// the rebuilt session with the drained one's observations).
-type DrainedSession struct {
-	ID    string
-	State string // state at drain time, before the close
-	Evals int
-	Spec  Spec // re-create spec; ID cleared, warm-start fields filled when possible
-}
-
-// DrainReport is the result of draining a node.
-type DrainReport struct {
-	Node     string
-	Sessions []DrainedSession // non-terminal sessions eligible for hand-off
-	Closed   int              // every session the drain closed, terminal ones included
-	Repo     []bo.RepoEntry   // full model repository, drained-session harvests included
-}
-
 // Drain takes this node out of service: it stops accepting new sessions
-// (Create fails with ErrDraining), force-harvests every live session into
-// the model repository — a partial model still transfers (§6.6) — closes
-// them all with journaled tombstones, and returns the hand-off report: the
-// re-create specs of the non-terminal sessions plus the full repository for
-// the successors to import. Draining is terminal for the process and
-// idempotent: a second Drain returns an empty report.
-func (m *Manager) Drain() DrainReport {
+// (Create fails with ErrDraining), closes every live session with a
+// journaled tombstone, and returns the same hand-off package promotion
+// builds from a replica (BuildHandoff), built from memory: each session
+// handoffLocked selects, with its full history, plus the repository. A
+// router replays it onto the successors exactly like a fail-over, so the
+// sessions continue bit-exact and harvest where they finish. Draining is
+// terminal for the process and idempotent: a second Drain returns an empty
+// report.
+func (m *Manager) Drain() HandoffReport {
 	m.draining.Store(true)
 	// Barrier: in-flight Creates registered under life.RLock before the
 	// flag flipped; wait them out so the sweep below sees every session.
@@ -1181,7 +1162,7 @@ func (m *Manager) Drain() DrainReport {
 	m.life.Unlock() //nolint:staticcheck // empty critical section is the barrier
 
 	now := m.opts.Now()
-	rep := DrainReport{Node: m.opts.NodeID}
+	rep := HandoffReport{Node: m.opts.NodeID}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		sessions := make([]*Session, 0, len(sh.sessions))
@@ -1194,27 +1175,15 @@ func (m *Manager) Drain() DrainReport {
 		for _, s := range sessions {
 			m.count.Add(-1)
 			s.mu.Lock()
-			state := s.state
-			if state != StateFailed {
-				m.harvestLocked(s) // idempotent; done sessions already harvested
-			}
-			if state == StateActive || state == StateQueued || state == StateRunning {
-				ds := DrainedSession{ID: s.id, State: state, Evals: len(s.history), Spec: s.spec}
-				ds.Spec.ID = ""
-				if fp, sec, ok := s.fingerprintLocked(); ok {
-					fpCopy := fp
-					ds.Spec.WarmStart = true
-					ds.Spec.Stats = &fpCopy
-					ds.Spec.DefaultRuntimeSec = sec
-				}
-				rep.Sessions = append(rep.Sessions, ds)
+			if hs, ok := handoffLocked(s); ok {
+				rep.Sessions = append(rep.Sessions, hs)
 			}
 			s.state = StateClosed
 			s.mu.Unlock()
-			rep.Closed++
 			m.journalClose(s.id, now)
 		}
 	}
+	sortHandoff(rep.Sessions)
 	m.repoMu.Lock()
 	rep.Repo = append([]bo.RepoEntry(nil), m.repo.Entries...)
 	m.repoMu.Unlock()
@@ -1231,7 +1200,7 @@ func (m *Manager) NodeID() string { return m.opts.NodeID }
 func (m *Manager) Advertise() string { return m.opts.Advertise }
 
 // ImportRepository merges foreign model-repository entries (another node's
-// Drain export) into this manager's repository, journaling each new entry
+// hand-off or export) into this manager's repository, journaling each new entry
 // so it survives restarts. Entries already present — matched by workload,
 // cluster, fingerprint, default runtime, and size — are skipped, so imports
 // are idempotent and a mesh of nodes cross-importing converges. Returns how

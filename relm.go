@@ -319,11 +319,6 @@ func NewServiceHandler(m *ServiceManager) http.Handler {
 	return service.NewHandler(m)
 }
 
-// ServiceDrainReport is what ServiceManager.Drain returns: the re-create
-// specs of the closed sessions plus the full model repository, for a
-// router to hand off to surviving nodes.
-type ServiceDrainReport = service.DrainReport
-
 // ClusterRouter is the stateless front door of a multi-node deployment:
 // it partitions sessions across relm-serve backends by rendezvous hashing
 // on the session ID, proxies the session lifecycle, merges cluster-wide
@@ -366,9 +361,9 @@ func NewReplicaSet(opts ReplicaOptions) (*ReplicaSet, error) {
 	return replica.New(opts)
 }
 
-// ServiceHandoffReport is what promoting a replica yields: every
-// non-terminal session the dead node held (with full history and a prior
-// for its successor) plus its model repository.
+// ServiceHandoffReport is what promoting a replica or draining a node
+// (ServiceManager.Drain) yields: every session the node hands off (with
+// full history and a prior for its successor) plus its model repository.
 type ServiceHandoffReport = service.HandoffReport
 
 // ExtractServiceHandoff replays a promoted (fenced) replica directory into
